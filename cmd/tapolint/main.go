@@ -4,15 +4,17 @@
 // (wraparound-safe sequence arithmetic, deterministic simulation,
 // lock discipline, observer purity, wire-format hygiene, hot-path
 // allocation budgets) and the whole-program ones (deadlock-free lock
-// ordering, goroutine termination, wire-format freeze, metrics
-// registry hygiene) are exactly the unwritten rules whose silent
-// violation would invalidate the reproduction.
+// ordering, goroutine termination, wire-format freeze) are exactly
+// the unwritten rules whose silent violation would invalidate the
+// reproduction. The /metrics exporters need no analyzer: each family
+// is declared once in an internal/metrics registry, and a test holds
+// the registries and the README metric tables to each other.
 //
 // Usage:
 //
 //	go run ./cmd/tapolint ./...
 //	go run ./cmd/tapolint -only seqsafe,detclock ./internal/core/
-//	go run ./cmd/tapolint -only lockorder,goexit,wirefreeze,metricsreg ./...
+//	go run ./cmd/tapolint -only lockorder,goexit,wirefreeze ./...
 //	go run ./cmd/tapolint -json ./...
 //	go run ./cmd/tapolint -allows ./...
 //	go run ./cmd/tapolint -update-wirefreeze ./...

@@ -8,7 +8,7 @@ import (
 	"tcpstall/internal/lint"
 )
 
-// TestListGolden pins the -list output: all ten analyzers, in
+// TestListGolden pins the -list output: all nine analyzers, in
 // registration order, with their one-line contracts. A new analyzer
 // or a doc rewrite must update this table deliberately.
 func TestListGolden(t *testing.T) {
@@ -21,7 +21,6 @@ hotalloc   flags heap-allocating constructs in functions marked tapo:hotpath
 lockorder  whole-program lock-acquisition graph must be acyclic (deadlock freedom)
 goexit     every goroutine launch must have a provable termination path
 wirefreeze wire structs and BENCH schemas must match the committed fingerprint snapshot
-metricsreg exporter metric families: valid names, no duplicates, HELP/TYPE pairs, docs in sync
 `
 	var sb strings.Builder
 	listAnalyzers(&sb)

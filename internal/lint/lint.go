@@ -80,21 +80,10 @@ func (p *ProgramPass) Reportf(pkg *Package, pos token.Pos, format string, args .
 	})
 }
 
-// ReportAt records one finding at an already-resolved position — for
-// findings anchored outside Go source, like a stale metric row in
-// README.md.
-func (p *ProgramPass) ReportAt(pos token.Position, format string, args ...any) {
-	*p.diags = append(*p.diags, Diagnostic{
-		Analyzer: p.Analyzer.Name,
-		Pos:      pos,
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
 // Analyzers is the full tapolint suite in reporting order.
 var Analyzers = []*Analyzer{
 	Seqsafe, Detclock, Lockcheck, Evpurity, Jsontags, Hotalloc,
-	Lockorder, Goexit, Wirefreeze, Metricsreg,
+	Lockorder, Goexit, Wirefreeze,
 }
 
 // ByName returns the named analyzer, or nil.

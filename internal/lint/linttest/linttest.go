@@ -9,13 +9,8 @@
 // finding on that line; findings with no matching want, and wants
 // with no matching finding, fail the test. Lines without a want
 // comment are false-positive guards: any finding there fails too.
-//
-// Whole-program analyzers can anchor findings outside Go source
-// (metricsreg flags stale rows in README.md). Those are expected
-// with the file-suffix form, which matches one finding in any file
-// whose name ends with the suffix, on any line:
-//
-//	// want@docs.md `docs mention metric family`
+// A comment that starts with "want" but is not a want comment (say
+// `want@file`) is a malformed expectation and fails the run.
 package linttest
 
 import (
@@ -57,31 +52,23 @@ func Check(a *lint.Analyzer, dir, asPath string) (problems []string, err error) 
 	}
 
 	type want struct {
-		re     *regexp.Regexp
-		line   int
-		file   string // exact filename, or "" for suffix form
-		suffix string
-		hit    bool
+		re   *regexp.Regexp
+		line int
+		file string
+		hit  bool
 	}
 	var wants []*want
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-				var suffix string
-				switch {
-				case strings.HasPrefix(text, "want "):
-				case strings.HasPrefix(text, "want@"):
-					rest := strings.TrimPrefix(text, "want@")
-					i := strings.IndexAny(rest, " \t")
-					if i < 0 {
-						return nil, fmt.Errorf("%s: want@ comment needs a file suffix and a `regexp`", pkg.Fset.Position(c.Pos()))
-					}
-					suffix = rest[:i]
-				default:
+				if !strings.HasPrefix(text, "want") {
 					continue
 				}
 				pos := pkg.Fset.Position(c.Pos())
+				if !strings.HasPrefix(text, "want ") {
+					return nil, fmt.Errorf("%s: malformed want comment %q (want `regexp` ...)", pos, text)
+				}
 				ms := wantRe.FindAllStringSubmatch(text, -1)
 				if len(ms) == 0 {
 					return nil, fmt.Errorf("%s: want comment carries no `regexp`", pos)
@@ -91,11 +78,7 @@ func Check(a *lint.Analyzer, dir, asPath string) (problems []string, err error) 
 					if err != nil {
 						return nil, fmt.Errorf("%s: bad want regexp %q: %v", pos, m[1], err)
 					}
-					w := &want{re: re, line: pos.Line, file: pos.Filename, suffix: suffix}
-					if suffix != "" {
-						w.file = ""
-					}
-					wants = append(wants, w)
+					wants = append(wants, &want{re: re, line: pos.Line, file: pos.Filename})
 				}
 			}
 		}
@@ -104,14 +87,7 @@ func Check(a *lint.Analyzer, dir, asPath string) (problems []string, err error) 
 	for _, d := range diags {
 		matched := false
 		for _, w := range wants {
-			if w.hit || !w.re.MatchString(d.Message) {
-				continue
-			}
-			if w.suffix != "" {
-				if !strings.HasSuffix(d.Pos.Filename, w.suffix) {
-					continue
-				}
-			} else if w.line != d.Pos.Line || w.file != d.Pos.Filename {
+			if w.hit || !w.re.MatchString(d.Message) || w.line != d.Pos.Line || w.file != d.Pos.Filename {
 				continue
 			}
 			w.hit = true
@@ -124,11 +100,7 @@ func Check(a *lint.Analyzer, dir, asPath string) (problems []string, err error) 
 	}
 	for _, w := range wants {
 		if !w.hit {
-			where := fmt.Sprintf("%s:%d", w.file, w.line)
-			if w.suffix != "" {
-				where = "file ending " + w.suffix
-			}
-			problems = append(problems, fmt.Sprintf("%s wanted a finding matching %q, got none", where, w.re))
+			problems = append(problems, fmt.Sprintf("%s:%d wanted a finding matching %q, got none", w.file, w.line, w.re))
 		}
 	}
 	return problems, nil

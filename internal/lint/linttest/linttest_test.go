@@ -55,3 +55,16 @@ func TestCheckMissingDir(t *testing.T) {
 		t.Fatal("expected an error for a missing testdata directory")
 	}
 }
+
+// TestCheckMalformedWant: a comment that starts with "want" but is
+// not `want <regexp>` — such as the retired want@file form — must be
+// a fatal error, not a silently ignored expectation.
+func TestCheckMalformedWant(t *testing.T) {
+	_, err := Check(lint.Jsontags, "testdata/wantat", "tcpstall/internal/lint/wantat")
+	if err == nil {
+		t.Fatal("expected an error for a want@ comment")
+	}
+	if !strings.Contains(err.Error(), "malformed want comment") {
+		t.Errorf("error should name the malformed comment, got: %v", err)
+	}
+}

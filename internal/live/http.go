@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"tcpstall/internal/core"
+	"tcpstall/internal/metrics"
 	"tcpstall/internal/stats"
 )
 
@@ -23,10 +24,14 @@ import (
 //	GET /debug/flows/{id}/trace  the flow's flight-recorder evidence
 //	GET /stalls                  JSON ring of the most recent closed stalls (?n= limits)
 //	GET /config                  JSON of the effective (defaulted) configuration
+//
+// Every successful response carries Cache-Control: no-store, as on the
+// fleet head: a cached copy of a live view is wrong by definition.
 func NewHandler(m *Monitor) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		w.Header().Set("Cache-Control", "no-store")
 		writeMetrics(w, m.Snapshot())
 		writeRuntimeMetrics(w)
 	})
@@ -35,6 +40,8 @@ func NewHandler(m *Monitor) http.Handler {
 			http.Error(w, "shutting down", http.StatusServiceUnavailable)
 			return
 		}
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		w.Header().Set("Cache-Control", "no-store")
 		fmt.Fprintln(w, "ok")
 	})
 	mux.HandleFunc("GET /flows", func(w http.ResponseWriter, r *http.Request) {
@@ -190,197 +197,118 @@ func newStallJSON(ls core.LiveStall) stallJSON {
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	w.Header().Set("Cache-Control", "no-store")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v)
 }
 
-// writeMetrics renders a Snapshot in the Prometheus text exposition
-// format (version 0.0.4), hand-rolled so the monitor stays
-// dependency-free. Label sets are emitted in sorted order so scrapes
-// are deterministic and diffable.
+// Metrics declares the families tapod's /metrics renders from a
+// monitor Snapshot; RuntimeMetrics declares the daemon's own Go runtime
+// health, served after them. Declaration order is exposition order.
+var Metrics, RuntimeMetrics metrics.Registry
+
+var (
+	mUptime              = Metrics.Gauge("tapod_uptime_seconds", "Time since the monitor started.")
+	mIngested            = Metrics.Counter("tapod_records_ingested_total", "Records accepted into shard rings.")
+	mDropped             = Metrics.Counter("tapod_records_dropped_total", "Records discarded, by reason.", "reason")
+	mShardRingDrops      = Metrics.Counter("tapod_shard_ring_drops_total", "Records shed at each shard's full ingest ring.", "shard")
+	mFlightDrops         = Metrics.Counter("tapod_flight_drops_total", "Flight-recorder ring truncation (settled at flow eviction), by kind.", "kind")
+	mFed                 = Metrics.Counter("tapod_records_fed_total", "Records fed into per-flow analyzers.")
+	mTriageRecords       = Metrics.Counter("tapod_triage_records_total", "Records handled by the triage fast path.")
+	mPromotions          = Metrics.Counter("tapod_triage_promotions_total", "Flow promotions to full analysis, by symptom.", "symptom")
+	mRepromotions        = Metrics.Counter("tapod_triage_repromotions_total", "Promotions that re-attached a parked analyzer.")
+	mDemotions           = Metrics.Counter("tapod_triage_demotions_total", "Promoted flows parked after staying symptom-free.")
+	mTruncatedPromotions = Metrics.Counter("tapod_triage_truncated_promotions_total", "Promotions whose symptom evidence predated the record ring (replayed from ring start).")
+	mPromotedFlows       = Metrics.Gauge("tapod_triage_promoted_flows", "Live flows currently promoted to full analysis.")
+	mParkedFlows         = Metrics.Gauge("tapod_triage_parked_flows", "Live flows holding a demoted (parked) analyzer.")
+	mFlowsActive         = Metrics.Gauge("tapod_flows_active", "Flows currently tracked.")
+	mFlowsSeen           = Metrics.Counter("tapod_flows_seen_total", "Flows ever admitted.")
+	mFlowsEvicted        = Metrics.Counter("tapod_flows_evicted_total", "Flows evicted, by reason.", "reason")
+	mFlowsTruncated      = Metrics.Counter("tapod_flows_truncated_total", "Flows that hit the per-flow record cap.")
+	mStalls              = Metrics.Counter("tapod_stalls_total", "Closed stalls by service and Figure-5 cause.", "service", "cause", "category")
+	mStallSeconds        = Metrics.Counter("tapod_stall_seconds_total", "Total stalled seconds by service and cause.", "service", "cause")
+	mStallDuration       = Metrics.Histogram("tapod_stall_duration_ms", "Closed stall durations in milliseconds.")
+	mRetransStalls       = Metrics.Counter("tapod_retrans_stalls_total", "Retransmission stalls by Table-5 sub-cause (settled at eviction).", "subcause")
+	mRetransSeconds      = Metrics.Counter("tapod_retrans_stall_seconds_total", "Retransmission stall seconds by Table-5 sub-cause.", "subcause")
+	mWindowStalls        = Metrics.Gauge("tapod_window_stalls", "Stalls closed inside the rolling window, by service and cause.", "service", "cause")
+	mWindowStallSeconds  = Metrics.Gauge("tapod_window_stall_seconds", "Stalled seconds inside the rolling window.", "service", "cause")
+	mWindowSpan          = Metrics.Gauge("tapod_window_span_seconds", "Width of the rolling window.")
+
+	mGoroutines = RuntimeMetrics.Gauge("tapod_goroutines", "Current goroutine count.")
+	mHeapAlloc  = RuntimeMetrics.Gauge("tapod_heap_alloc_bytes", "Bytes of allocated heap objects.")
+	mHeapSys    = RuntimeMetrics.Gauge("tapod_heap_sys_bytes", "Heap memory obtained from the OS.")
+	mGCCycles   = RuntimeMetrics.Counter("tapod_gc_cycles_total", "Completed GC cycles.")
+	mGCPause    = RuntimeMetrics.Counter("tapod_gc_pause_seconds_total", "Cumulative GC stop-the-world pause time.")
+)
+
+// writeMetrics renders a Snapshot through the Metrics registry. Label
+// sets are emitted in sorted order so scrapes are deterministic and
+// diffable.
 func writeMetrics(w io.Writer, s Snapshot) {
-	p := func(format string, args ...any) { fmt.Fprintf(w, format, args...) }
-
-	p("# HELP tapod_uptime_seconds Time since the monitor started.\n")
-	p("# TYPE tapod_uptime_seconds gauge\n")
-	p("tapod_uptime_seconds %s\n", fnum(s.Uptime.Seconds()))
-
-	p("# HELP tapod_records_ingested_total Records accepted into shard rings.\n")
-	p("# TYPE tapod_records_ingested_total counter\n")
-	p("tapod_records_ingested_total %d\n", s.Ingested)
-
-	p("# HELP tapod_records_dropped_total Records discarded, by reason.\n")
-	p("# TYPE tapod_records_dropped_total counter\n")
-	p("tapod_records_dropped_total{reason=%q} %d\n", "ring_full", s.RingDrops)
-	p("tapod_records_dropped_total{reason=%q} %d\n", "flow_record_cap", s.RecordsCapDrop)
-
-	p("# HELP tapod_shard_ring_drops_total Records shed at each shard's full ingest ring.\n")
-	p("# TYPE tapod_shard_ring_drops_total counter\n")
+	p := Metrics.NewPage()
+	p.Float(mUptime, s.Uptime.Seconds())
+	p.Uint(mIngested, s.Ingested)
+	p.Uint(mDropped, s.RingDrops, "ring_full")
+	p.Uint(mDropped, s.RecordsCapDrop, "flow_record_cap")
 	for i, n := range s.ShardRingDrops {
-		p("tapod_shard_ring_drops_total{shard=\"%d\"} %d\n", i, n)
+		p.Uint(mShardRingDrops, n, strconv.Itoa(i))
 	}
-
-	p("# HELP tapod_flight_drops_total Flight-recorder ring truncation (settled at flow eviction), by kind.\n")
-	p("# TYPE tapod_flight_drops_total counter\n")
-	p("tapod_flight_drops_total{kind=%q} %d\n", "event", s.FlightEventDrops)
-	p("tapod_flight_drops_total{kind=%q} %d\n", "evidence", s.FlightEvidenceDrops)
-
-	p("# HELP tapod_records_fed_total Records fed into per-flow analyzers.\n")
-	p("# TYPE tapod_records_fed_total counter\n")
-	p("tapod_records_fed_total %d\n", s.RecordsFed)
-
-	p("# HELP tapod_triage_records_total Records handled by the triage fast path.\n")
-	p("# TYPE tapod_triage_records_total counter\n")
-	p("tapod_triage_records_total %d\n", s.TriageFastRecords)
-
-	p("# HELP tapod_triage_promotions_total Flow promotions to full analysis, by symptom.\n")
-	p("# TYPE tapod_triage_promotions_total counter\n")
-	for _, sym := range sortedKeys(s.TriagePromotions) {
-		p("tapod_triage_promotions_total{symptom=%q} %d\n", sym, s.TriagePromotions[sym])
-	}
-
-	p("# HELP tapod_triage_repromotions_total Promotions that re-attached a parked analyzer.\n")
-	p("# TYPE tapod_triage_repromotions_total counter\n")
-	p("tapod_triage_repromotions_total %d\n", s.TriageRepromotions)
-
-	p("# HELP tapod_triage_demotions_total Promoted flows parked after staying symptom-free.\n")
-	p("# TYPE tapod_triage_demotions_total counter\n")
-	p("tapod_triage_demotions_total %d\n", s.TriageDemotions)
-
-	p("# HELP tapod_triage_truncated_promotions_total Promotions whose symptom evidence predated the record ring (replayed from ring start).\n")
-	p("# TYPE tapod_triage_truncated_promotions_total counter\n")
-	p("tapod_triage_truncated_promotions_total %d\n", s.TriageTruncatedPromotions)
-
-	p("# HELP tapod_triage_promoted_flows Live flows currently promoted to full analysis.\n")
-	p("# TYPE tapod_triage_promoted_flows gauge\n")
-	p("tapod_triage_promoted_flows %d\n", s.PromotedFlows)
-
-	p("# HELP tapod_triage_parked_flows Live flows holding a demoted (parked) analyzer.\n")
-	p("# TYPE tapod_triage_parked_flows gauge\n")
-	p("tapod_triage_parked_flows %d\n", s.ParkedFlows)
-
-	p("# HELP tapod_flows_active Flows currently tracked.\n")
-	p("# TYPE tapod_flows_active gauge\n")
-	p("tapod_flows_active %d\n", s.ActiveFlows)
-
-	p("# HELP tapod_flows_seen_total Flows ever admitted.\n")
-	p("# TYPE tapod_flows_seen_total counter\n")
-	p("tapod_flows_seen_total %d\n", s.FlowsSeen)
-
-	p("# HELP tapod_flows_evicted_total Flows evicted, by reason.\n")
-	p("# TYPE tapod_flows_evicted_total counter\n")
-	for _, r := range sortedKeys(s.FlowsEvicted) {
-		p("tapod_flows_evicted_total{reason=%q} %d\n", r, s.FlowsEvicted[r])
-	}
-
-	p("# HELP tapod_flows_truncated_total Flows that hit the per-flow record cap.\n")
-	p("# TYPE tapod_flows_truncated_total counter\n")
-	p("tapod_flows_truncated_total %d\n", s.FlowsTruncated)
-
-	p("# HELP tapod_stalls_total Closed stalls by service and Figure-5 cause.\n")
-	p("# TYPE tapod_stalls_total counter\n")
+	p.Uint(mFlightDrops, s.FlightEventDrops, "event")
+	p.Uint(mFlightDrops, s.FlightEvidenceDrops, "evidence")
+	p.Uint(mFed, s.RecordsFed)
+	p.Uint(mTriageRecords, s.TriageFastRecords)
+	p.UintMap(mPromotions, s.TriagePromotions)
+	p.Uint(mRepromotions, s.TriageRepromotions)
+	p.Uint(mDemotions, s.TriageDemotions)
+	p.Uint(mTruncatedPromotions, s.TriageTruncatedPromotions)
+	p.Uint(mPromotedFlows, uint64(s.PromotedFlows))
+	p.Uint(mParkedFlows, uint64(s.ParkedFlows))
+	p.Uint(mFlowsActive, uint64(s.ActiveFlows))
+	p.Uint(mFlowsSeen, s.FlowsSeen)
+	p.UintMap(mFlowsEvicted, s.FlowsEvicted)
+	p.Uint(mFlowsTruncated, s.FlowsTruncated)
 	forEachCause(s.StallCount, func(k CauseKey) {
-		p("tapod_stalls_total{service=%q,cause=%q,category=%q} %d\n",
-			k.Service, k.Cause.String(), core.CategoryOf(k.Cause).String(), s.StallCount[k])
+		p.Uint(mStalls, s.StallCount[k], k.Service, k.Cause.String(), core.CategoryOf(k.Cause).String())
 	})
-
-	p("# HELP tapod_stall_seconds_total Total stalled seconds by service and cause.\n")
-	p("# TYPE tapod_stall_seconds_total counter\n")
 	forEachCause(s.StallSeconds, func(k CauseKey) {
-		p("tapod_stall_seconds_total{service=%q,cause=%q} %s\n",
-			k.Service, k.Cause.String(), fnum(s.StallSeconds[k]))
+		p.Float(mStallSeconds, s.StallSeconds[k], k.Service, k.Cause.String())
 	})
-
-	writeHistogram(p, "tapod_stall_duration_ms", "Closed stall durations in milliseconds.", s.DurationsMS)
-
-	p("# HELP tapod_retrans_stalls_total Retransmission stalls by Table-5 sub-cause (settled at eviction).\n")
-	p("# TYPE tapod_retrans_stalls_total counter\n")
+	dur := s.DurationsMS
+	if dur == nil {
+		dur = stats.NewHistogram(DurationBoundsMS)
+	}
+	p.Histogram(mStallDuration, dur.State())
 	for _, c := range sortedRetrans(s.RetransCount) {
-		p("tapod_retrans_stalls_total{subcause=%q} %d\n", c.String(), s.RetransCount[c])
+		p.Uint(mRetransStalls, s.RetransCount[c], c.String())
 	}
-
-	p("# HELP tapod_retrans_stall_seconds_total Retransmission stall seconds by Table-5 sub-cause.\n")
-	p("# TYPE tapod_retrans_stall_seconds_total counter\n")
 	for _, c := range sortedRetrans(s.RetransSeconds) {
-		p("tapod_retrans_stall_seconds_total{subcause=%q} %s\n", c.String(), fnum(s.RetransSeconds[c]))
+		p.Float(mRetransSeconds, s.RetransSeconds[c], c.String())
 	}
-
-	p("# HELP tapod_window_stalls Stalls closed inside the rolling window, by service and cause.\n")
-	p("# TYPE tapod_window_stalls gauge\n")
 	forEachCause(s.Window.StallCount, func(k CauseKey) {
-		p("tapod_window_stalls{service=%q,cause=%q} %d\n", k.Service, k.Cause.String(), s.Window.StallCount[k])
+		p.Uint(mWindowStalls, s.Window.StallCount[k], k.Service, k.Cause.String())
 	})
-
-	p("# HELP tapod_window_stall_seconds Stalled seconds inside the rolling window.\n")
-	p("# TYPE tapod_window_stall_seconds gauge\n")
 	forEachCause(s.Window.StallSeconds, func(k CauseKey) {
-		p("tapod_window_stall_seconds{service=%q,cause=%q} %s\n", k.Service, k.Cause.String(), fnum(s.Window.StallSeconds[k]))
+		p.Float(mWindowStallSeconds, s.Window.StallSeconds[k], k.Service, k.Cause.String())
 	})
-
-	p("# HELP tapod_window_span_seconds Width of the rolling window.\n")
-	p("# TYPE tapod_window_span_seconds gauge\n")
-	p("tapod_window_span_seconds %s\n", fnum(s.Window.Span.Seconds()))
+	p.Float(mWindowSpan, s.Window.Span.Seconds())
+	p.WriteTo(w)
 }
 
-// writeRuntimeMetrics emits the daemon's own Go runtime health —
+// writeRuntimeMetrics renders the daemon's own Go runtime health —
 // goroutine count, heap, GC pause — so the monitor watches itself
 // with the same scrape that watches the flows.
 func writeRuntimeMetrics(w io.Writer) {
-	p := func(format string, args ...any) { fmt.Fprintf(w, format, args...) }
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-
-	p("# HELP tapod_goroutines Current goroutine count.\n")
-	p("# TYPE tapod_goroutines gauge\n")
-	p("tapod_goroutines %d\n", runtime.NumGoroutine())
-
-	p("# HELP tapod_heap_alloc_bytes Bytes of allocated heap objects.\n")
-	p("# TYPE tapod_heap_alloc_bytes gauge\n")
-	p("tapod_heap_alloc_bytes %d\n", ms.HeapAlloc)
-
-	p("# HELP tapod_heap_sys_bytes Heap memory obtained from the OS.\n")
-	p("# TYPE tapod_heap_sys_bytes gauge\n")
-	p("tapod_heap_sys_bytes %d\n", ms.HeapSys)
-
-	p("# HELP tapod_gc_cycles_total Completed GC cycles.\n")
-	p("# TYPE tapod_gc_cycles_total counter\n")
-	p("tapod_gc_cycles_total %d\n", ms.NumGC)
-
-	p("# HELP tapod_gc_pause_seconds_total Cumulative GC stop-the-world pause time.\n")
-	p("# TYPE tapod_gc_pause_seconds_total counter\n")
-	p("tapod_gc_pause_seconds_total %s\n", fnum(float64(ms.PauseTotalNs)/1e9))
-}
-
-// writeHistogram emits one Prometheus histogram family from a
-// stats.Histogram whose bounds are in milliseconds.
-func writeHistogram(p func(string, ...any), name, help string, h *stats.Histogram) {
-	p("# HELP %s %s\n", name, help)
-	p("# TYPE %s histogram\n", name)
-	if h == nil {
-		h = stats.NewHistogram(DurationBoundsMS)
-	}
-	bounds := h.Bounds()
-	for i, ub := range bounds {
-		p("%s_bucket{le=%q} %d\n", name, fnum(ub), h.Cumulative(i))
-	}
-	p("%s_bucket{le=\"+Inf\"} %d\n", name, h.N())
-	p("%s_sum %s\n", name, fnum(h.Sum()))
-	p("%s_count %d\n", name, h.N())
-}
-
-// fnum formats a float the way Prometheus clients do: shortest
-// round-trip representation.
-func fnum(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+	p := RuntimeMetrics.NewPage()
+	p.Uint(mGoroutines, uint64(runtime.NumGoroutine()))
+	p.Uint(mHeapAlloc, ms.HeapAlloc)
+	p.Uint(mHeapSys, ms.HeapSys)
+	p.Uint(mGCCycles, uint64(ms.NumGC))
+	p.Float(mGCPause, float64(ms.PauseTotalNs)/1e9)
+	p.WriteTo(w)
 }
 
 func sortedRetrans[V any](m map[core.RetransCause]V) []core.RetransCause {

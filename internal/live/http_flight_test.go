@@ -241,3 +241,40 @@ func grepLines(body, pats string) string {
 	}
 	return strings.Join(out, "\n")
 }
+
+// TestHandlerHeaders audits every GET endpoint for the content-type
+// and cache-control contract the fleet head keeps: charset on every
+// text body, no-store everywhere.
+func TestHandlerHeaders(t *testing.T) {
+	m := flightMonitor(flight.Config{})
+	srv := httptest.NewServer(NewHandler(m))
+	defer srv.Close()
+
+	for _, tc := range []struct {
+		path        string
+		contentType string
+	}{
+		{"/metrics", "text/plain; version=0.0.4; charset=utf-8"},
+		{"/healthz", "text/plain; charset=utf-8"},
+		{"/flows", "application/json; charset=utf-8"},
+		{"/flows/tapo-ev", "application/json; charset=utf-8"},
+		{"/debug/flows/tapo-ev/trace", "application/json; charset=utf-8"},
+		{"/stalls", "application/json; charset=utf-8"},
+		{"/config", "application/json; charset=utf-8"},
+	} {
+		resp, err := srv.Client().Get(srv.URL + tc.path)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != 200 {
+			t.Errorf("%s: status %d", tc.path, resp.StatusCode)
+		}
+		if got := resp.Header.Get("Content-Type"); got != tc.contentType {
+			t.Errorf("%s: Content-Type = %q, want %q", tc.path, got, tc.contentType)
+		}
+		if got := resp.Header.Get("Cache-Control"); got != "no-store" {
+			t.Errorf("%s: Cache-Control = %q, want no-store", tc.path, got)
+		}
+	}
+}

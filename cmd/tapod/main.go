@@ -78,7 +78,7 @@ func main() {
 	tau := flag.Float64("tau", 2, "stall threshold multiplier in min(tau*SRTT, RTO)")
 	shards := flag.Int("shards", 0, "flow-table shards (0: one per CPU)")
 	maxFlows := flag.Int("max-flows", 0, "active-flow cap across all shards (0: default 65536)")
-	maxRecs := flag.Int("max-records", 0, "per-flow analyzer record cap (0: default 100000, -1: unlimited)")
+	maxRecs := flag.Int("max-records", 0, "per-flow analyzer record cap, bounding scoreboard and in-flight sample memory (0: default 100000, -1: unlimited)")
 	idle := flag.Duration("idle", 5*time.Minute, "evict flows idle this long")
 	window := flag.Duration("window", time.Minute, "rolling aggregation window")
 	ringSize := flag.Int("ring", 0, "per-shard ingest ring size (0: default 4096)")

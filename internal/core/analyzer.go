@@ -57,11 +57,15 @@ type aSeg struct {
 	sent    int // transmissions seen (1 = original only)
 	sacked  bool
 	acked   bool
+	// stallRef marks a segment some stall's cur_pkt retransmitted;
+	// such a segment keeps receiving DSACK stamps after it is acked.
+	stallRef bool
 	// firstRetransTimeout records whether the FIRST retransmission
 	// ended a stall (timeout-driven) — the f-double/t-double split.
 	firstRetransTimeout bool
 	lastSent            sim.Time
-	// spuriousAt holds times a DSACK covered this segment.
+	// spuriousAt holds times a DSACK covered this segment while a
+	// stall could still read them (see stampDSACK).
 	spuriousAt []sim.Time
 }
 
@@ -101,8 +105,21 @@ type analyzer struct {
 	cfg Config
 	mss int
 
-	segs   []aSeg
-	segIdx map[uint64]int
+	// segs holds every distinct segment in first-transmission order;
+	// segIdx maps a stream offset to its position. una is the
+	// first-unacked index: every segs[<una] is acked, so per-ACK scans
+	// walk only segs[una:], the unacked window (acked segments past
+	// una stay in it until the prefix below them is acked too).
+	// packetsOut and sackedOut are the Linux counters of Table 2, kept
+	// in step at the three state changes: a new segment, a SACK mark
+	// and a cumulative ACK. stallSegs lists the stallRef segments, the
+	// only ones below una that DSACKs still stamp.
+	segs       []aSeg
+	segIdx     map[uint64]int
+	una        int
+	packetsOut int
+	sackedOut  int
+	stallSegs  []int
 
 	// u maps wire sequence/ACK values of the server's data stream onto
 	// monotonic uint64 offsets; every scoreboard comparison below is in
@@ -309,7 +326,7 @@ func (a *analyzer) onStall(endIdx int, start sim.Time, cur *trace.Record) {
 			EndRecIdx:  endIdx,
 			CaState:    a.caState,
 			InFlight:   a.inFlight(),
-			PacketsOut: a.packetsOut(),
+			PacketsOut: a.packetsOut,
 			Rwnd:       a.rwnd,
 			CwndEst:    int(a.cwnd),
 			Position:   -1,
@@ -317,9 +334,9 @@ func (a *analyzer) onStall(endIdx int, start sim.Time, cur *trace.Record) {
 		endDir:             cur.Dir,
 		endLen:             cur.Seg.Len,
 		retransSegIdx:      -1,
-		sackedOutAtStart:   a.sackedOut(),
+		sackedOutAtStart:   a.sackedOut,
 		dupacksAtStart:     a.dupacks,
-		outstandingAtStart: a.packetsOut(),
+		outstandingAtStart: a.packetsOut,
 		maxEndAtStall:      a.maxEnd,
 	}
 	// Is cur_pkt a retransmission of an already-sent segment?
@@ -331,6 +348,10 @@ func (a *analyzer) onStall(endIdx int, start sim.Time, cur *trace.Record) {
 			ps.copiesBefore = g.sent
 			ps.firstRetransTimeout = g.firstRetransTimeout
 			ps.segsAboveOutstanding = a.segsAbove(g.seq)
+			if !g.stallRef {
+				g.stallRef = true
+				a.stallSegs = append(a.stallSegs, idx)
+			}
 		}
 	}
 	if a.rec != nil {
@@ -342,32 +363,9 @@ func (a *analyzer) onStall(endIdx int, start sim.Time, cur *trace.Record) {
 // segsAbove counts distinct sent, unacked segments strictly above seq.
 func (a *analyzer) segsAbove(seq uint64) int {
 	n := 0
-	for i := range a.segs {
+	for i := a.una; i < len(a.segs); i++ {
 		g := &a.segs[i]
 		if g.seq > seq && !g.acked {
-			n++
-		}
-	}
-	return n
-}
-
-func (a *analyzer) sackedOut() int {
-	n := 0
-	for i := range a.segs {
-		g := &a.segs[i]
-		if g.sacked && !g.acked {
-			n++
-		}
-	}
-	return n
-}
-
-// packetsOut is snd_nxt − snd_una in segments.
-func (a *analyzer) packetsOut() int {
-	n := 0
-	for i := range a.segs {
-		g := &a.segs[i]
-		if !g.acked && g.sent > 0 {
 			n++
 		}
 	}
@@ -380,7 +378,7 @@ func (a *analyzer) packetsOut() int {
 // lost) and retrans_out likewise, which cancels; the dominant terms
 // are packets_out − sacked_out.
 func (a *analyzer) inFlight() int {
-	fl := a.packetsOut() - a.sackedOut()
+	fl := a.packetsOut - a.sackedOut
 	if fl < 0 {
 		fl = 0
 	}
@@ -419,6 +417,7 @@ func (a *analyzer) processOut(r *trace.Record) {
 			ordinal:  idx,
 			lastSent: r.T,
 		})
+		a.packetsOut++
 		a.out.DataPackets++
 	}
 	g := &a.segs[idx]
@@ -541,12 +540,7 @@ func (a *analyzer) processIn(r *trace.Record) {
 				seqspace.LessEq(b0.Right, sblocks[1].Right)) {
 			dsacked = true
 			l0, r0 := a.u.Unwrap(b0.Left), a.u.Unwrap(b0.Right)
-			for i := range a.segs {
-				g := &a.segs[i]
-				if g.seq >= l0 && g.end() <= r0 {
-					g.spuriousAt = append(g.spuriousAt, r.T)
-				}
-			}
+			a.stampDSACK(l0, r0, r.T)
 			a.emit(flight.KindSack, "dsack", a.rel(l0), int64(r0-l0), int64(a.dupacks))
 		}
 	}
@@ -559,7 +553,7 @@ func (a *analyzer) processIn(r *trace.Record) {
 			continue
 		}
 		l, rr := a.u.Unwrap(b.Left), a.u.Unwrap(b.Right)
-		for i := range a.segs {
+		for i := a.una; i < len(a.segs); i++ {
 			g := &a.segs[i]
 			if g.acked || g.sacked {
 				continue
@@ -571,6 +565,7 @@ func (a *analyzer) processIn(r *trace.Record) {
 			}
 		}
 	}
+	a.sackedOut += sackedCount
 	if sackedCount > 0 {
 		a.emit(flight.KindSack, "sack-mark", int64(sackedCount), 0, int64(a.dupacks))
 	}
@@ -579,7 +574,7 @@ func (a *analyzer) processIn(r *trace.Record) {
 	case a.haveBase && hasAck && ack > a.sndUna:
 		a.newAck(r, seg, ack)
 	case a.haveBase && hasAck && ack == a.sndUna && seg.Len == 0 &&
-		a.packetsOut() > 0 && (sackedNew || len(sblocks) > 0 || seg.Wnd == prevRwnd):
+		a.packetsOut > 0 && (sackedNew || len(sblocks) > 0 || seg.Wnd == prevRwnd):
 		a.dupacks++
 		a.emit(flight.KindAck, "dupack", int64(a.dupacks), int64(a.dupThresh), 0)
 		if a.caState == tcpsim.StateOpen {
@@ -595,18 +590,45 @@ func (a *analyzer) processIn(r *trace.Record) {
 	a.out.InFlightOnAck = append(a.out.InFlightOnAck, a.inFlight())
 }
 
+// stampDSACK records a DSACK for [l, r) on every segment it covers
+// that a stall can still read. Only Table-5 rule 3 and the trail's
+// dsacks_for_seg read the stamps, and only on a stall's retransmitted
+// segment. That segment is unacked when its stall closes, so before
+// then it lies in segs[una:]; afterwards it is in stallSegs, wherever
+// una has moved. Acked segments no stall references are never read
+// and are skipped.
+func (a *analyzer) stampDSACK(l, r uint64, t sim.Time) {
+	for i := a.una; i < len(a.segs); i++ {
+		if g := &a.segs[i]; g.seq >= l && g.end() <= r {
+			g.spuriousAt = append(g.spuriousAt, t)
+		}
+	}
+	for _, i := range a.stallSegs {
+		if g := &a.segs[i]; i < a.una && g.seq >= l && g.end() <= r {
+			g.spuriousAt = append(g.spuriousAt, t)
+		}
+	}
+}
+
 func (a *analyzer) newAck(r *trace.Record, seg *tcpsim.Segment, ack uint64) {
 	newlyAcked := 0
 	var edge *aSeg
-	for i := range a.segs {
+	for i := a.una; i < len(a.segs); i++ {
 		g := &a.segs[i]
 		if !g.acked && g.end() <= ack {
 			g.acked = true
 			newlyAcked++
+			if g.sacked {
+				a.sackedOut--
+			}
 			if g.end() == ack {
 				edge = g
 			}
 		}
+	}
+	a.packetsOut -= newlyAcked
+	for a.una < len(a.segs) && a.segs[a.una].acked {
+		a.una++
 	}
 	a.sndUna = ack
 	a.dupacks = 0

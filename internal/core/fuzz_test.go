@@ -92,7 +92,8 @@ func encodeFuzzRecord(dir tcpsim.Dir, flags packet.TCPFlags, seq, ack uint32, wn
 
 // FuzzIncrementalFeed drives the streaming analyzer with arbitrary
 // record sequences and checks the invariants no input may break:
-// no panic, byte-identical output to the batch analyzer over the same
+// no panic, a scoreboard that matches its full recount after every
+// record, byte-identical output to the batch analyzer over the same
 // records, stall bounds ordered with nondecreasing close times, and
 // exactly one live event per final stall.
 func FuzzIncrementalFeed(f *testing.F) {
@@ -161,9 +162,7 @@ func FuzzIncrementalFeed(f *testing.F) {
 		inc := NewIncremental(Config{})
 		inc.SetMeta(FlowMeta{ID: "fuzz", Service: "fuzz"})
 		inc.OnStall = func(ls LiveStall) { events = append(events, ls) }
-		for i := range recs {
-			inc.Feed(&recs[i])
-		}
+		feedChecked(t, inc, recs)
 		a := inc.Flush()
 
 		flow := &trace.Flow{ID: "fuzz", Service: "fuzz", Records: recs}

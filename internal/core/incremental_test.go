@@ -12,15 +12,14 @@ import (
 )
 
 // incremental runs a flow through the streaming analyzer one record
-// at a time and returns its marshalled analysis.
+// at a time, asserting the scoreboard against its recount after each,
+// and returns its marshalled analysis.
 func incremental(t *testing.T, f *trace.Flow, onStall func(core.LiveStall)) []byte {
 	t.Helper()
 	inc := core.NewIncremental(core.Config{})
 	inc.SetMeta(core.FlowMeta{ID: f.ID, Service: f.Service, MSS: f.MSS, InitRwnd: f.InitRwnd})
 	inc.OnStall = onStall
-	for i := range f.Records {
-		inc.Feed(&f.Records[i])
-	}
+	core.FeedChecked(t, inc, f.Records)
 	b, err := core.MarshalAnalyses([]*core.FlowAnalysis{inc.Flush()})
 	if err != nil {
 		t.Fatal(err)

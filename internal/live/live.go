@@ -52,8 +52,12 @@ type Config struct {
 	// MaxRecordsPerFlow caps the records fed to any one flow's
 	// analyzer (default 100000; <0 disables). Beyond the cap the
 	// flow's later records are dropped and counted, and its analysis
-	// covers the retained prefix — one elephant flow cannot grow
-	// scoreboard memory without bound.
+	// covers the retained prefix. The cap is a memory bound: the
+	// analyzer keeps one scoreboard entry per distinct segment and one
+	// InFlightOnAck sample per ACK, so one elephant flow cannot grow
+	// them without bound. It is not a CPU bound — per-record work
+	// follows the unacked window, not the flow's length (DESIGN.md
+	// §10, "Scoreboard cost").
 	MaxRecordsPerFlow int
 	// IdleTimeout evicts flows with no packet for this long on the
 	// wall clock (default 5m; sweeps run on SweepEvery).
